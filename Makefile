@@ -9,13 +9,12 @@
 #                   internal/maintain plus the root scenarios that run
 #                   helpers against inline searches (claim arbitration,
 #                   Close-during-drain, scheduled linearizability)
-#   make race-refs — race pass over the node-representation surface: the
-#                   packed/cell torture scenarios and differential fuzz
-#                   seed corpus, plus internal/atomicmark and internal/node
-#   make race-reclaim — race pass over the reclamation/snapshot surface:
-#                   internal/epoch plus the root snapshot, plateau,
-#                   slot-recycle-ABA, and Close-blocks-on-snapshot
-#                   scenarios, and the FuzzSnapshotOps seed corpus
+#   make race-reclaim — race pass over the node-memory, reclamation and
+#                   snapshot surface: internal/atomicmark, internal/node and
+#                   internal/epoch, plus the root torture run over every
+#                   registered algorithm, the snapshot, plateau and
+#                   Close-blocks-on-snapshot scenarios, and the
+#                   FuzzSnapshotOps seed corpus
 #   make race-index — race pass over the shared hash index surface:
 #                   internal/hindex plus the root cross-handle, parity,
 #                   stale-generation, and index×reclaim torture scenarios,
@@ -33,7 +32,7 @@
 #   make bench-reclaim — the reclamation benchmarks: slot-churn turnover
 #                   and revival with reclamation on/off, snapshot acquire,
 #                   and consistent-vs-weak RangeScan (see EXPERIMENTS.md)
-#   make bench-alloc — the representation benchmarks with -benchmem and
+#   make bench-alloc — the node-memory benchmarks with -benchmem and
 #                   GODEBUG=gctrace=1, for allocs/op and GC-pause deltas
 #                   (see EXPERIMENTS.md); gctrace logs go to stderr
 #   make bench-json — the fixed sgbench scenario grid (index on/off across
@@ -57,9 +56,9 @@ PERSISTKEYS ?= 2000000
 PERSISTDIR ?= /tmp/layeredsg-persist
 WALKEYS ?= 500000
 
-.PHONY: ci build test vet race race-maintain race-refs race-reclaim race-index race-persist race-wal bench bench-alloc bench-reclaim bench-json bench-persist bench-wal fuzz-smoke fmt
+.PHONY: ci build test vet race race-maintain race-reclaim race-index race-persist race-wal bench bench-alloc bench-reclaim bench-json bench-persist bench-wal fuzz-smoke fmt
 
-ci: build test vet race race-maintain race-refs race-reclaim race-index race-persist race-wal
+ci: build test vet race race-maintain race-reclaim race-index race-persist race-wal
 
 build:
 	$(GO) build ./...
@@ -77,14 +76,9 @@ race-maintain:
 	$(GO) test -race ./internal/maintain
 	$(GO) test -race -run 'Maint|TestCloseDuringDrain|TestStoreCloseLifecycle|TestHelperVsInline' .
 
-race-refs:
-	$(GO) test -race ./internal/atomicmark ./internal/node
-	$(GO) test -race -run 'TestTorturePackedRefs|FuzzRefRepresentations' .
-
 race-reclaim:
-	$(GO) test -race ./internal/epoch
-	$(GO) test -race -run 'TestArenaRecycleABA' ./internal/node
-	$(GO) test -race -run 'TestSnapshot|TestReclaimPlateau|TestInlineRetireReachesLimbo|TestStoreCloseBlocksOnSnapshot|FuzzSnapshotOps' .
+	$(GO) test -race ./internal/atomicmark ./internal/node ./internal/epoch
+	$(GO) test -race -run 'TestTorture$$|TestTorturePackedRefs$$|TestSnapshot|TestReclaimPlateau|TestInlineRetireReachesLimbo|TestStoreCloseBlocksOnSnapshot|FuzzSnapshotOps' .
 
 race-index:
 	$(GO) test -race ./internal/hindex
@@ -127,7 +121,6 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSkipGraphOps$$' -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz '^FuzzStoreOps$$' -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz '^FuzzMaintainOps$$' -fuzztime $(FUZZTIME) .
-	$(GO) test -run '^$$' -fuzz '^FuzzRefRepresentations$$' -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz '^FuzzSnapshotOps$$' -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz '^FuzzIndexOps$$' -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz '^FuzzDumpLoad$$' -fuzztime $(FUZZTIME) .

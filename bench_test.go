@@ -287,79 +287,66 @@ func BenchmarkMaintainOverhead(b *testing.B) {
 	}
 }
 
-// BenchmarkRefRepresentation compares the two node representations — arena-
-// backed packed level references vs pointer-to-cell references — on the
-// insert/remove hot path. Run with -benchmem: the headline number is
-// allocs/op (the packed representation's link mutations are allocation-free,
-// so its remaining allocations are amortized arena chunks), alongside ns/op
-// and the GC stop-the-world pause accumulated per operation. The concurrent
-// sub-benchmarks report trial throughput; `make bench-alloc` adds
-// GODEBUG=gctrace=1 for raw GC logs. Results in EXPERIMENTS.md.
+// BenchmarkRefRepresentation measures the arena-backed node representation
+// (packed level references) on the insert/remove hot path. Run with
+// -benchmem: the headline number is allocs/op (link mutations are
+// allocation-free, so the remaining allocations are amortized arena chunks),
+// alongside ns/op and the GC stop-the-world pause accumulated per operation.
+// The concurrent sub-benchmark reports trial throughput; `make bench-alloc`
+// adds GODEBUG=gctrace=1 for raw GC logs. Results in EXPERIMENTS.md.
 func BenchmarkRefRepresentation(b *testing.B) {
-	modes := []struct {
-		name string
-		refs RefMode
-	}{
-		{"packed", RefPacked},
-		{"cells", RefCells},
-	}
 	// Single-handle churn: alternating insert/remove over a small key window,
 	// the paper's update hot path minus workload-generator noise.
 	for _, kind := range []Kind{LayeredSG, LazyLayeredSG} {
-		for _, mode := range modes {
-			b.Run(fmt.Sprintf("churn/%s/%s", kind, mode.name), func(b *testing.B) {
-				machine := benchMachine(b, 4)
-				m, err := New[int64, int64](Config{Machine: machine, Kind: kind, Refs: mode.refs, Seed: 1})
-				if err != nil {
-					b.Fatal(err)
-				}
-				h := m.Handle(0)
-				for k := int64(0); k < 1024; k++ {
-					h.Insert(k, k)
-				}
-				var before runtime.MemStats
-				runtime.ReadMemStats(&before)
-				b.ReportAllocs()
-				b.ResetTimer()
-				// Each iteration is one guaranteed-successful remove+insert
-				// pair on a preloaded key (failed ops mutate no links and
-				// would dilute allocs/op with zeros).
-				for i := 0; i < b.N; i++ {
-					k := int64(i*2654435761) % 1024
-					h.Remove(k)
-					h.Insert(k, k)
-				}
-				b.StopTimer()
-				var after runtime.MemStats
-				runtime.ReadMemStats(&after)
-				b.ReportMetric(float64(after.PauseTotalNs-before.PauseTotalNs)/float64(b.N), "gcPauseNs/op")
-			})
-		}
-	}
-	// Concurrent write-heavy trials: representation impact on throughput.
-	machine := benchMachine(b, benchThreads)
-	for _, mode := range modes {
-		b.Run("trial/HC_WH/"+mode.name, func(b *testing.B) {
-			var opsPerMs float64
-			for i := 0; i < b.N; i++ {
-				a, err := NewAdapter("lazy_layered_sg", machine, AdapterOptions{
-					KeySpace: experiments.HC.KeySpace,
-					Refs:     mode.refs,
-					Seed:     int64(i),
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				res, err := sbench.Trial(machine, a, benchWorkload(experiments.HC, experiments.WH))
-				a.Close()
-				if err != nil {
-					b.Fatal(err)
-				}
-				opsPerMs += res.OpsPerMs
+		b.Run(fmt.Sprintf("churn/%s/packed", kind), func(b *testing.B) {
+			machine := benchMachine(b, 4)
+			m, err := New[int64, int64](Config{Machine: machine, Kind: kind, Seed: 1})
+			if err != nil {
+				b.Fatal(err)
 			}
-			b.ReportMetric(opsPerMs/float64(b.N), "ops/ms")
+			h := m.Handle(0)
+			for k := int64(0); k < 1024; k++ {
+				h.Insert(k, k)
+			}
+			var before runtime.MemStats
+			runtime.ReadMemStats(&before)
+			b.ReportAllocs()
+			b.ResetTimer()
+			// Each iteration is one guaranteed-successful remove+insert
+			// pair on a preloaded key (failed ops mutate no links and
+			// would dilute allocs/op with zeros).
+			for i := 0; i < b.N; i++ {
+				k := int64(i*2654435761) % 1024
+				h.Remove(k)
+				h.Insert(k, k)
+			}
+			b.StopTimer()
+			var after runtime.MemStats
+			runtime.ReadMemStats(&after)
+			b.ReportMetric(float64(after.PauseTotalNs-before.PauseTotalNs)/float64(b.N), "gcPauseNs/op")
 		})
 	}
+	// Concurrent write-heavy trial throughput.
+	machine := benchMachine(b, benchThreads)
+	b.Run("trial/HC_WH/packed", func(b *testing.B) {
+		var opsPerMs float64
+		for i := 0; i < b.N; i++ {
+			a, err := NewAdapter("lazy_layered_sg", machine, AdapterOptions{
+				KeySpace: experiments.HC.KeySpace,
+				Seed:     int64(i),
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			res, err := sbench.Trial(machine, a, benchWorkload(experiments.HC, experiments.WH))
+			a.Close()
+			if err != nil {
+				b.Fatal(err)
+			}
+			opsPerMs += res.OpsPerMs
+		}
+		b.ReportMetric(opsPerMs/float64(b.N), "ops/ms")
+	})
 }
 
 // BenchmarkIndexOverhead measures the shared hash index (internal/hindex,

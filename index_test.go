@@ -254,7 +254,7 @@ func TestIndexStaleGeneration(t *testing.T) {
 	}
 	// Drain limbo: bump the clock past every commission period and flush
 	// until the engine has nothing queued, so slots actually recycle.
-	for i := 0; i < 64 && m.Maintenance().LimboDepth() > 0; i++ {
+	for i := 0; i < 64 && m.Maintenance().Pending() > 0; i++ {
 		now.Add(10_000)
 		m.Maintenance().Flush()
 	}
@@ -276,6 +276,11 @@ func TestIndexStaleGeneration(t *testing.T) {
 		if v, ok := h.Get(1024 + k); !ok || v != 1024+k {
 			t.Fatalf("Get(%d) = %d, %v; want %d, true", 1024+k, v, ok, 1024+k)
 		}
+	}
+	// Validate needs a quiescent structure: Flush until the helpers have
+	// linked the fresh keys' upper levels and nothing is left in the engine.
+	for i := 0; i == 0 || (i < 64 && m.Maintenance().Pending() > 0); i++ {
+		m.Maintenance().Flush()
 	}
 	if err := m.SharedStructure().Validate(); err != nil {
 		t.Fatal(err)

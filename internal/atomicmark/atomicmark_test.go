@@ -6,16 +6,12 @@ import (
 	"testing/quick"
 )
 
-type item struct{ v int }
-
+// TestZeroValue checks every accessor of a zero PackedRef, not only Load:
+// nil successor, unmarked, invalid.
 func TestZeroValue(t *testing.T) {
-	var r Ref[item]
-	snap := r.Load()
-	if snap.Next != nil || snap.Marked || snap.Valid {
-		t.Fatalf("zero value = %+v, want nil/unmarked/invalid", snap)
-	}
-	if r.Next() != nil {
-		t.Fatal("zero Next() != nil")
+	var r PackedRef
+	if r.Ref() != 0 || r.Index() != 0 {
+		t.Fatalf("zero Ref() = %#x, Index() = %d, want 0", r.Ref(), r.Index())
 	}
 	if r.Marked() {
 		t.Fatal("zero Marked()")
@@ -23,14 +19,20 @@ func TestZeroValue(t *testing.T) {
 	if r.Valid() {
 		t.Fatal("zero Valid()")
 	}
+	if m, v := r.MarkValid(); m || v {
+		t.Fatalf("zero MarkValid() = %v,%v", m, v)
+	}
 }
 
 func TestInitAndLoad(t *testing.T) {
-	var r Ref[item]
-	a := &item{1}
+	var r PackedRef
+	a := MakeRef(1, 2)
 	r.Init(a, false, true)
-	if got := r.Load(); got.Next != a || got.Marked || !got.Valid {
+	if got := r.Load(); got.Ref != a || got.Marked || !got.Valid {
 		t.Fatalf("Load = %+v", got)
+	}
+	if r.Ref() != a || r.Index() != 1 || r.Marked() || !r.Valid() {
+		t.Fatalf("accessors = ref %#x index %d marked %v valid %v", r.Ref(), r.Index(), r.Marked(), r.Valid())
 	}
 	m, v := r.MarkValid()
 	if m || !v {
@@ -38,16 +40,18 @@ func TestInitAndLoad(t *testing.T) {
 	}
 }
 
+// TestCASNext checks that a successor swing keeps the valid bit as it finds
+// it, and that a failed swing on a marked reference leaves the successor
+// where it was.
 func TestCASNext(t *testing.T) {
-	var r Ref[item]
-	a, b, c := &item{1}, &item{2}, &item{3}
-	r.Init(a, false, true)
-
+	var r PackedRef
+	a, b, c := MakeRef(1, 1), MakeRef(2, 1), MakeRef(3, 1)
+	r.Init(a, false, false)
 	if !r.CASNext(a, b) {
 		t.Fatal("CASNext a→b failed")
 	}
-	if r.Next() != b {
-		t.Fatal("Next != b")
+	if got := r.Load(); got.Ref != b || got.Marked || got.Valid {
+		t.Fatalf("CASNext disturbed the bits: %+v", got)
 	}
 	if r.CASNext(a, c) {
 		t.Fatal("CASNext with stale expected succeeded")
@@ -59,20 +63,20 @@ func TestCASNext(t *testing.T) {
 	if r.CASNext(b, c) {
 		t.Fatal("CASNext on marked reference succeeded")
 	}
-	if r.Next() != b {
-		t.Fatal("marked reference pointer changed")
+	if r.Ref() != b {
+		t.Fatal("marked reference successor changed")
 	}
 }
 
 func TestCASMarkPreservesPointerAndValid(t *testing.T) {
-	var r Ref[item]
-	a := &item{1}
+	var r PackedRef
+	a := MakeRef(1, 5)
 	r.Init(a, false, true)
 	if !r.CASMark(false, true) {
 		t.Fatal("CASMark false→true failed")
 	}
 	snap := r.Load()
-	if snap.Next != a || !snap.Marked || !snap.Valid {
+	if snap.Ref != a || !snap.Marked || !snap.Valid {
 		t.Fatalf("after mark: %+v", snap)
 	}
 	if r.CASMark(false, true) {
@@ -81,8 +85,8 @@ func TestCASMarkPreservesPointerAndValid(t *testing.T) {
 }
 
 func TestCASValid(t *testing.T) {
-	var r Ref[item]
-	a := &item{1}
+	var r PackedRef
+	a := MakeRef(1, 5)
 	r.Init(a, false, true)
 	if !r.CASValid(true, false) {
 		t.Fatal("CASValid true→false failed")
@@ -94,14 +98,17 @@ func TestCASValid(t *testing.T) {
 		t.Fatal("CASValid with wrong expectation succeeded")
 	}
 	snap := r.Load()
-	if snap.Next != a || snap.Marked {
+	if snap.Ref != a || snap.Marked {
 		t.Fatalf("CASValid disturbed other fields: %+v", snap)
 	}
 }
 
+// TestCASMarkValid starts from the unmarked-invalid state a lazy remove
+// leaves behind: a transition expecting the wrong valid bit fails, revival
+// succeeds, and retirement only goes through with the exact expectation.
 func TestCASMarkValid(t *testing.T) {
-	var r Ref[item]
-	a := &item{1}
+	var r PackedRef
+	a := MakeRef(1, 4)
 	r.Init(a, false, false) // unmarked, invalid: ready for revival
 	if r.CASMarkValid(false, true, false, false) {
 		t.Fatal("CASMarkValid with wrong valid expectation succeeded")
@@ -114,28 +121,45 @@ func TestCASMarkValid(t *testing.T) {
 		t.Fatalf("after revival: %v,%v", m, v)
 	}
 	// Retire: (false,*)→(true,*) only via exact expectation.
+	if r.CASMarkValid(false, false, true, false) {
+		t.Fatal("retire of a valid reference succeeded")
+	}
 	if !r.CASMarkValid(false, true, false, false) {
 		t.Fatal("invalidate failed")
 	}
 	if !r.CASMarkValid(false, false, true, false) {
 		t.Fatal("retire failed")
 	}
-	if got := r.Load(); !got.Marked || got.Valid || got.Next != a {
+	if got := r.Load(); !got.Marked || got.Valid || got.Ref != a {
 		t.Fatalf("after retire: %+v", got)
 	}
 }
 
+// TestCASSnapshot checks that the full-triple CAS fails when any single
+// component of the expectation is off — index, generation, mark or valid —
+// and succeeds on the exact state.
 func TestCASSnapshot(t *testing.T) {
-	var r Ref[item]
-	a, b := &item{1}, &item{2}
-	r.Init(a, false, true)
-	exp := Snapshot[item]{Next: a, Marked: false, Valid: true}
-	want := Snapshot[item]{Next: b, Marked: false, Valid: true}
-	if !r.CASSnapshot(exp, want) {
-		t.Fatal("CASSnapshot failed")
+	cur := PackedSnapshot{Ref: MakeRef(4, 6), Marked: false, Valid: true}
+	want := PackedSnapshot{Ref: MakeRef(8, 2), Marked: false, Valid: true}
+	for name, exp := range map[string]PackedSnapshot{
+		"index":      {Ref: MakeRef(5, 6), Marked: false, Valid: true},
+		"generation": {Ref: MakeRef(4, 5), Marked: false, Valid: true},
+		"marked":     {Ref: MakeRef(4, 6), Marked: true, Valid: true},
+		"valid":      {Ref: MakeRef(4, 6), Marked: false, Valid: false},
+	} {
+		var r PackedRef
+		r.Init(cur.Ref, cur.Marked, cur.Valid)
+		if r.CASSnapshot(exp, want) {
+			t.Fatalf("CASSnapshot with a wrong %s succeeded", name)
+		}
+		if got := r.Load(); got != cur {
+			t.Fatalf("failed CASSnapshot (%s) changed the state to %+v", name, got)
+		}
 	}
-	if r.CASSnapshot(exp, want) {
-		t.Fatal("stale CASSnapshot succeeded")
+	var r PackedRef
+	r.Init(cur.Ref, cur.Marked, cur.Valid)
+	if !r.CASSnapshot(cur, want) {
+		t.Fatal("CASSnapshot with the exact state failed")
 	}
 	if got := r.Load(); got != want {
 		t.Fatalf("Load = %+v want %+v", got, want)
@@ -147,8 +171,8 @@ func TestCASSnapshot(t *testing.T) {
 // relies on.
 func TestConcurrentMarkOnce(t *testing.T) {
 	for iter := 0; iter < 200; iter++ {
-		var r Ref[item]
-		r.Init(&item{1}, false, true)
+		var r PackedRef
+		r.Init(MakeRef(1, 0), false, true)
 		const n = 8
 		results := make([]bool, n)
 		var wg sync.WaitGroup
@@ -177,8 +201,8 @@ func TestConcurrentMarkOnce(t *testing.T) {
 // mutually exclusive: exactly one of the two racing transitions wins.
 func TestConcurrentReviveRetireExclusive(t *testing.T) {
 	for iter := 0; iter < 300; iter++ {
-		var r Ref[item]
-		r.Init(&item{1}, false, false)
+		var r PackedRef
+		r.Init(MakeRef(1, 0), false, false)
 		var revived, retired bool
 		var wg sync.WaitGroup
 		wg.Add(2)
@@ -197,26 +221,24 @@ func TestConcurrentReviveRetireExclusive(t *testing.T) {
 	}
 }
 
-// TestQuickTransitions property-tests that arbitrary sequences of successful
-// CAS operations always leave the reference in the state the last winner
-// installed (cells are immutable, so torn states are impossible by
-// construction; this guards the invariants the helpers assume).
+// TestQuickTransitions property-tests that arbitrary sequences of CAS
+// operations always leave the reference in the state the last winner
+// installed — no torn words, and the generation tag travels with the index.
 func TestQuickTransitions(t *testing.T) {
+	refs := []uint64{MakeRef(1, 0), MakeRef(2, 7), MakeRef(3, PackedGenMask)}
 	f := func(ops []uint8) bool {
-		var r Ref[item]
-		a := &item{1}
-		r.Init(a, false, true)
-		cur := Snapshot[item]{Next: a, Marked: false, Valid: true}
-		nodes := []*item{a, {2}, {3}}
+		var r PackedRef
+		r.Init(refs[0], false, true)
+		cur := PackedSnapshot{Ref: refs[0], Marked: false, Valid: true}
 		for _, op := range ops {
 			switch op % 4 {
 			case 0:
-				next := nodes[int(op/4)%len(nodes)]
-				if r.CASNext(cur.Next, next) {
+				next := refs[int(op/4)%len(refs)]
+				if r.CASNext(cur.Ref, next) {
 					if cur.Marked {
 						return false // CASNext must fail on marked refs
 					}
-					cur.Next = next
+					cur.Ref = next
 				}
 			case 1:
 				if r.CASMark(cur.Marked, !cur.Marked) {

@@ -1,22 +1,46 @@
+// Package atomicmark provides the atomic level reference of the skip graph
+// protocol: a successor together with a "marked" and a "valid" bit, all of
+// which can be inspected and replaced with a single compare-and-swap.
+//
+// The layered skip graph protocol (and the baseline lock-free skip list)
+// requires operations such as casMarkValid(exp, new), which atomically flip
+// the mark/valid bits of a level reference while leaving the successor
+// untouched, and casNext(expMiddle, new), which replaces a chain of marked
+// references with a single CAS (the paper's "relink optimization"). Both need
+// (successor, mark, valid) to behave as one atomic word. Marked references
+// are never mutated afterwards (marked references are immutable in the
+// protocol, Appendix C of the paper), which is what makes the relink
+// optimization sound.
 package atomicmark
 
 import "sync/atomic"
 
-// PackedRef is the arena-backed sibling of Ref: the same atomic
-// (successor, marked, valid) triple, but with the successor expressed as a
-// generation-tagged arena slot reference instead of a pointer, so the whole
-// triple fits one machine word:
+// Snapshot is an immutable view of a reference in pointer space: the
+// successor plus the marked and valid bits, observed atomically. Owners of a
+// PackedRef (internal/node) translate between it and PackedSnapshot.
+type Snapshot[T any] struct {
+	// Next is the successor this reference points at.
+	Next *T
+	// Marked reports whether the reference is marked for physical removal.
+	Marked bool
+	// Valid reports whether the reference is logically valid (lazy variant);
+	// non-lazy structures leave it permanently true.
+	Valid bool
+}
+
+// PackedRef is the atomic (successor, marked, valid) triple, with the
+// successor expressed as a generation-tagged arena slot reference instead of
+// a pointer, so the whole triple fits one machine word:
 //
 //	bits 34..63  successor slot's reuse generation (30 bits, wraps)
 //	bits 2..33   successor's arena index (0 = nil)
 //	bit  1       valid
 //	bit  0       marked
 //
-// Every mutation is a single CAS on the word — no cell allocation, no
-// pointer-bit stealing (the word is a plain integer the GC never scans), and
-// the same immutability discipline as Ref: a marked reference is never
-// mutated again, which keeps the relink optimization sound (Appendix C of
-// the paper).
+// Every mutation is a single CAS on the word — no allocation, no
+// pointer-bit stealing (the word is a plain integer the GC never scans). A
+// marked reference is never mutated again, which keeps the relink
+// optimization sound (Appendix C of the paper).
 //
 // The generation tag exists because arena slots are reclaimed and reused
 // (see internal/node's free lists): each time a slot returns to its shard's
@@ -31,13 +55,13 @@ import "sync/atomic"
 // PackedRef deliberately knows nothing about arenas: it speaks slot
 // references (MakeRef/RefIndex/RefGen), and the owner (internal/node)
 // translates between references and *Node via its Arena. The zero value is a
-// nil, unmarked, *invalid* reference, mirroring Ref's zero value.
+// nil, unmarked, *invalid* reference.
 type PackedRef struct {
 	w atomic.Uint64
 }
 
-// PackedSnapshot is an immutable view of a PackedRef, mirroring Snapshot in
-// slot-reference space.
+// PackedSnapshot is an immutable view of a PackedRef in slot-reference
+// space.
 type PackedSnapshot struct {
 	// Ref is the successor's generation-tagged slot reference
 	// (gen<<32 | index); a zero index means nil.

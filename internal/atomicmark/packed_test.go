@@ -136,9 +136,8 @@ func TestPackedCASSnapshot(t *testing.T) {
 	}
 }
 
-// TestPackedMarkWins mirrors the cell-based representation's mark/CASNext
-// race test: concurrent marking and successor swings never resurrect a
-// successor past a mark.
+// TestPackedMarkWins checks that concurrent marking and successor swings
+// never resurrect a successor past a mark.
 func TestPackedMarkWins(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		var r PackedRef
@@ -164,67 +163,95 @@ func TestPackedMarkWins(t *testing.T) {
 	}
 }
 
+// refModel is the sequential specification of a PackedRef: the triple as
+// three plain fields, each CAS a compare-then-assign.
+type refModel struct {
+	ref           uint64
+	marked, valid bool
+}
+
+func (m *refModel) casNext(exp, next uint64) bool {
+	if m.marked || m.ref != exp {
+		return false
+	}
+	m.ref = next
+	return true
+}
+
+func (m *refModel) casMark(exp, next bool) bool {
+	if m.marked != exp {
+		return false
+	}
+	m.marked = next
+	return true
+}
+
+func (m *refModel) casValid(exp, next bool) bool {
+	if m.valid != exp {
+		return false
+	}
+	m.valid = next
+	return true
+}
+
+func (m *refModel) casMarkValid(expM, expV, newM, newV bool) bool {
+	if m.marked != expM || m.valid != expV {
+		return false
+	}
+	m.marked, m.valid = newM, newV
+	return true
+}
+
+func (m *refModel) casSnapshot(exp, want PackedSnapshot) bool {
+	if m.ref != exp.Ref || m.marked != exp.Marked || m.valid != exp.Valid {
+		return false
+	}
+	m.ref, m.marked, m.valid = want.Ref, want.Marked, want.Valid
+	return true
+}
+
 // TestPackedVsCellDifferential drives the same randomized operation sequence
-// through a PackedRef and a cell-based Ref and asserts snapshot-for-snapshot
-// equality after every step. Successors are drawn from a small pool mapped
-// 1:1 between slot-reference space (index i+1, generation i%3) and pointer
-// space (&pool[i]) — the varying generations keep the tag honest in the
-// word-compare paths.
+// through a PackedRef and its sequential model and asserts state equality
+// after every step. Successors are drawn from a small pool of slot
+// references (index i, generation i%3) — the varying generations keep the
+// tag honest in the word-compare paths.
 func TestPackedVsCellDifferential(t *testing.T) {
-	pool := make([]item, 8)
 	toRef := func(i uint32) uint64 {
 		if i == 0 {
 			return 0
 		}
 		return MakeRef(i, (i-1)%3)
 	}
-	toPtr := func(i uint32) *item {
-		if i == 0 {
-			return nil
-		}
-		return &pool[i-1]
-	}
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 100; trial++ {
 		var p PackedRef
-		var c Ref[item]
 		p.Init(0, false, true)
-		c.Init(nil, false, true)
+		m := refModel{valid: true}
 		for step := 0; step < 300; step++ {
-			a := uint32(rng.Intn(len(pool) + 1)) // 0 = nil
-			b := uint32(rng.Intn(len(pool) + 1))
+			a := toRef(uint32(rng.Intn(9))) // 0 = nil
+			b := toRef(uint32(rng.Intn(9)))
 			m1, m2 := rng.Intn(2) == 0, rng.Intn(2) == 0
 			v1, v2 := rng.Intn(2) == 0, rng.Intn(2) == 0
-			var okP, okC bool
+			var okP, okM bool
 			switch rng.Intn(5) {
 			case 0:
-				okP = p.CASNext(toRef(a), toRef(b))
-				okC = c.CASNext(toPtr(a), toPtr(b))
+				okP, okM = p.CASNext(a, b), m.casNext(a, b)
 			case 1:
-				okP = p.CASMark(m1, m2)
-				okC = c.CASMark(m1, m2)
+				okP, okM = p.CASMark(m1, m2), m.casMark(m1, m2)
 			case 2:
-				okP = p.CASValid(v1, v2)
-				okC = c.CASValid(v1, v2)
+				okP, okM = p.CASValid(v1, v2), m.casValid(v1, v2)
 			case 3:
-				okP = p.CASMarkValid(m1, v1, m2, v2)
-				okC = c.CASMarkValid(m1, v1, m2, v2)
+				okP, okM = p.CASMarkValid(m1, v1, m2, v2), m.casMarkValid(m1, v1, m2, v2)
 			case 4:
-				okP = p.CASSnapshot(
-					PackedSnapshot{Ref: toRef(a), Marked: m1, Valid: v1},
-					PackedSnapshot{Ref: toRef(b), Marked: m2, Valid: v2},
-				)
-				okC = c.CASSnapshot(
-					Snapshot[item]{Next: toPtr(a), Marked: m1, Valid: v1},
-					Snapshot[item]{Next: toPtr(b), Marked: m2, Valid: v2},
-				)
+				exp := PackedSnapshot{Ref: a, Marked: m1, Valid: v1}
+				want := PackedSnapshot{Ref: b, Marked: m2, Valid: v2}
+				okP, okM = p.CASSnapshot(exp, want), m.casSnapshot(exp, want)
 			}
-			if okP != okC {
-				t.Fatalf("trial %d step %d: packed ok=%v cell ok=%v", trial, step, okP, okC)
+			if okP != okM {
+				t.Fatalf("trial %d step %d: packed ok=%v model ok=%v", trial, step, okP, okM)
 			}
-			ps, cs := p.Load(), c.Load()
-			if toPtr(ps.Index()) != cs.Next || ps.Marked != cs.Marked || ps.Valid != cs.Valid {
-				t.Fatalf("trial %d step %d: packed %+v cell %+v", trial, step, ps, cs)
+			if got := p.Load(); got != (PackedSnapshot{Ref: m.ref, Marked: m.marked, Valid: m.valid}) {
+				t.Fatalf("trial %d step %d: packed %+v model %+v", trial, step, got, m)
 			}
 		}
 	}

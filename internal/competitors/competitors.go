@@ -156,7 +156,7 @@ func New[K cmp.Ordered, V any](cfg Config) (*Map[K, V], error) {
 		}
 	}
 
-	sg, err := skipgraph.New[K, V](skipgraph.Config{MaxLevel: 0, CleanupDuringSearch: true})
+	sg, err := skipgraph.New[K, V](skipgraph.Config{MaxLevel: 0, CleanupDuringSearch: true, ArenaShards: cfg.Machine.Topology().Nodes()})
 	if err != nil {
 		return nil, err
 	}

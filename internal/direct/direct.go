@@ -13,7 +13,9 @@
 //     with relink (a Harris-style list where chains of marked nodes are
 //     unlinked with one CAS).
 //
-// All three use the non-lazy protocol with search-time cleanup.
+// All three use the non-lazy protocol with search-time cleanup, and the same
+// arena-backed nodes as the layered variants: removed nodes' slots are never
+// reused (non-lazy structures build no epoch domain).
 package direct
 
 import (
@@ -89,7 +91,7 @@ func New[K cmp.Ordered, V any](cfg Config) (*Map[K, V], error) {
 		cfg.Scheme = membership.NUMAAware
 	}
 
-	sgCfg := skipgraph.Config{CleanupDuringSearch: true}
+	sgCfg := skipgraph.Config{CleanupDuringSearch: true, ArenaShards: cfg.Machine.Topology().Nodes()}
 	vectors := make([]uint32, threads)
 	switch cfg.Shape {
 	case SkipList:

@@ -9,19 +9,19 @@ import (
 	"layeredsg/internal/node"
 )
 
-// newNode allocates a heap data node with a given life ID, standing in for
-// arena slots in these unit tests (the index never cares which representation
-// backs a node).
-func newNode(key int64, id uint64) *node.Node[int64, int64] {
-	return node.NewData[int64, int64](key, key, 0, 0, node.Owner{}, id, 0)
+// newNode allocates a data node with a given life ID from a test's arena
+// (the index only ever sees the node pointer and its life ID).
+func newNode(a *node.Arena[int64, int64], key int64, id uint64) *node.Node[int64, int64] {
+	return a.NewData(key, key, 0, 0, node.Owner{}, id, 0)
 }
 
 func TestPublishLookupRoundTrip(t *testing.T) {
+	a := node.NewArena[int64, int64](1, 1)
 	x := New[int64, int64](0)
 	const keys = 1000
 	nodes := make([]*node.Node[int64, int64], keys)
 	for k := int64(0); k < keys; k++ {
-		nodes[k] = newNode(k, uint64(k+1))
+		nodes[k] = newNode(a, k, uint64(k+1))
 		x.Publish(k, nodes[k], uint64(k+1))
 	}
 	for k := int64(0); k < keys; k++ {
@@ -40,8 +40,9 @@ func TestPublishLookupRoundTrip(t *testing.T) {
 }
 
 func TestUnpublishTombstonesAndRevives(t *testing.T) {
+	a := node.NewArena[int64, int64](1, 1)
 	x := New[int64, int64](0)
-	n1 := newNode(7, 1)
+	n1 := newNode(a, 7, 1)
 	x.Publish(7, n1, 1)
 	x.Unpublish(7, n1)
 	if _, _, ok := x.Lookup(7); ok {
@@ -49,7 +50,7 @@ func TestUnpublishTombstonesAndRevives(t *testing.T) {
 	}
 	// A republish revives the same entry in place.
 	before := x.Stats().Entries
-	n2 := newNode(7, 2)
+	n2 := newNode(a, 7, 2)
 	x.Publish(7, n2, 2)
 	if got := x.Stats().Entries; got != before {
 		t.Fatalf("republish allocated a new entry: Entries %d -> %d", before, got)
@@ -66,11 +67,12 @@ func TestUnpublishTombstonesAndRevives(t *testing.T) {
 }
 
 func TestPublishKeepsLiveIncumbent(t *testing.T) {
+	a := node.NewArena[int64, int64](1, 1)
 	x := New[int64, int64](0)
-	live := newNode(3, 10) // unmarked: LiveAs(10) holds
+	live := newNode(a, 3, 10) // unmarked: LiveAs(10) holds
 	x.Publish(3, live, 10)
 	// A laggard publish from a previous life must lose to the live incumbent.
-	stale := newNode(3, 4)
+	stale := newNode(a, 3, 4)
 	x.Publish(3, stale, 4)
 	n, id, ok := x.Lookup(3)
 	if !ok || n != live || id != 10 {
@@ -78,7 +80,7 @@ func TestPublishKeepsLiveIncumbent(t *testing.T) {
 	}
 	// Once the incumbent is retired (marked), a new publish wins.
 	live.RawStore(0, nil, true, false)
-	next := newNode(3, 11)
+	next := newNode(a, 3, 11)
 	x.Publish(3, next, 11)
 	n, id, ok = x.Lookup(3)
 	if !ok || n != next || id != 11 {
@@ -87,10 +89,11 @@ func TestPublishKeepsLiveIncumbent(t *testing.T) {
 }
 
 func TestGrowthKeepsAllEntriesReachable(t *testing.T) {
+	a := node.NewArena[int64, int64](1, 1)
 	x := New[int64, int64](0)
 	const keys = initialBuckets * loadFactor * 8 // forces several doublings
 	for k := int64(0); k < keys; k++ {
-		x.Publish(k, newNode(k, uint64(k+1)), uint64(k+1))
+		x.Publish(k, newNode(a, k, uint64(k+1)), uint64(k+1))
 	}
 	st := x.Stats()
 	if st.Buckets <= initialBuckets {
@@ -114,9 +117,10 @@ func TestSizeHintPresizes(t *testing.T) {
 // strictly sorted by (split-order key, map key) with dummies interleaved at
 // their bucket positions.
 func TestListOrderInvariant(t *testing.T) {
+	a := node.NewArena[int64, int64](1, 1)
 	x := New[int64, int64](0)
 	for k := int64(0); k < 5000; k++ {
-		x.Publish(k, newNode(k, uint64(k+1)), uint64(k+1))
+		x.Publish(k, newNode(a, k, uint64(k+1)), uint64(k+1))
 	}
 	head := x.segments[0].Load()
 	prev := (*head)[0].Load()
@@ -145,11 +149,12 @@ func TestListOrderInvariant(t *testing.T) {
 // this exercises the key tiebreak by checking many keys per bucket at the
 // initial table size, where 64-bit hashes collide per-bucket constantly).
 func TestCollidingBuckets(t *testing.T) {
+	a := node.NewArena[string, int64](1, 1)
 	x := New[string, int64](0)
 	keys := make([]string, 3000) // ~12 keys per initial bucket
 	for i := range keys {
 		keys[i] = fmt.Sprintf("key-%05d", i)
-		n := node.NewData[string, int64](keys[i], int64(i), 0, 0, node.Owner{}, uint64(i+1), 0)
+		n := a.NewData(keys[i], int64(i), 0, 0, node.Owner{}, uint64(i+1), 0)
 		x.Publish(keys[i], n, uint64(i+1))
 	}
 	for i, k := range keys {
@@ -168,6 +173,7 @@ func TestCollidingBuckets(t *testing.T) {
 // throughout: a lookup must only ever return a node that was published under
 // that key.
 func TestConcurrentPublishLookup(t *testing.T) {
+	a := node.NewArena[int64, int64](1, 1)
 	x := New[int64, int64](0)
 	const (
 		workers = 8
@@ -182,7 +188,7 @@ func TestConcurrentPublishLookup(t *testing.T) {
 			for r := 0; r < rounds; r++ {
 				k := int64((r*7 + w*13) % keys)
 				id := uint64(w*rounds+r) + 1
-				n := newNode(k, id)
+				n := newNode(a, k, id)
 				switch r % 3 {
 				case 0:
 					x.Publish(k, n, id)
@@ -207,7 +213,7 @@ func TestConcurrentPublishLookup(t *testing.T) {
 		if got, _, ok := x.Lookup(k); ok {
 			got.RawStore(0, nil, true, false)
 		}
-		n := newNode(k, uint64(1<<40)+uint64(k))
+		n := newNode(a, k, uint64(1<<40)+uint64(k))
 		x.Publish(k, n, n.ID())
 		if got, _, ok := x.Lookup(k); !ok || got != n {
 			t.Fatalf("Lookup(%d) after final publish = (%p, ok=%v), want %p", k, got, ok, n)
@@ -218,6 +224,7 @@ func TestConcurrentPublishLookup(t *testing.T) {
 // TestConcurrentGrowth races bucket doubling against publishes: every entry
 // linked during the storm must stay reachable afterwards.
 func TestConcurrentGrowth(t *testing.T) {
+	a := node.NewArena[int64, int64](1, 1)
 	x := New[int64, int64](0)
 	const (
 		workers = 8
@@ -231,7 +238,7 @@ func TestConcurrentGrowth(t *testing.T) {
 			base := int64(w * perW)
 			for i := int64(0); i < perW; i++ {
 				k := base + i
-				x.Publish(k, newNode(k, uint64(k+1)), uint64(k+1))
+				x.Publish(k, newNode(a, k, uint64(k+1)), uint64(k+1))
 			}
 		}(w)
 	}

@@ -6,13 +6,14 @@ import (
 	"layeredsg/internal/node"
 )
 
-func mkNode(key int64) *node.Node[int64, int64] {
-	return node.NewData[int64, int64](key, key, 0, 0, node.Owner{}, uint64(key), 0)
+func mkNode(a *node.Arena[int64, int64], key int64) *node.Node[int64, int64] {
+	return a.NewData(key, key, 0, 0, node.Owner{}, uint64(key), 0)
 }
 
 func TestPutEraseBothViews(t *testing.T) {
+	a := node.NewArena[int64, int64](1, 1)
 	s := New[int64, int64]()
-	n := mkNode(10)
+	n := mkNode(a, 10)
 	s.Put(10, n)
 	if got, ok := s.HashFind(10); !ok || got.N != n || got.ID != n.ID() {
 		t.Fatal("hash miss after Put")
@@ -33,8 +34,9 @@ func TestPutEraseBothViews(t *testing.T) {
 }
 
 func TestPutHashOnly(t *testing.T) {
+	a := node.NewArena[int64, int64](1, 1)
 	s := New[int64, int64]()
-	n := mkNode(5)
+	n := mkNode(a, 5)
 	s.PutHashOnly(5, n)
 	if _, ok := s.HashFind(5); !ok {
 		t.Fatal("hash miss")
@@ -48,9 +50,10 @@ func TestPutHashOnly(t *testing.T) {
 }
 
 func TestFloorAndBackwardTraversal(t *testing.T) {
+	a := node.NewArena[int64, int64](1, 1)
 	s := New[int64, int64]()
 	for _, k := range []int64{10, 20, 30} {
-		s.Put(k, mkNode(k))
+		s.Put(k, mkNode(a, k))
 	}
 	it := s.Floor(25)
 	if !it.Valid() || it.Key() != 20 {
@@ -69,9 +72,10 @@ func TestFloorAndBackwardTraversal(t *testing.T) {
 }
 
 func TestAscend(t *testing.T) {
+	a := node.NewArena[int64, int64](1, 1)
 	s := New[int64, int64]()
 	for _, k := range []int64{3, 1, 2} {
-		s.Put(k, mkNode(k))
+		s.Put(k, mkNode(a, k))
 	}
 	var got []int64
 	s.Ascend(func(k int64, _ Ref[int64, int64]) bool {

@@ -78,9 +78,7 @@ type Config[K cmp.Ordered, V any] struct {
 	// pass through a limbo list, and their arena slots return to the free
 	// list once every pin from before the hand-off has drained. The engine
 	// registers Helpers()+1 pin participants (one per helper plus one for
-	// synchronous drains). Reclamation additionally requires the structure to be
-	// arena-backed (skipgraph.SG.PackedRefs); otherwise the domain is used
-	// for pinning only and Go's GC reclaims nodes.
+	// synchronous drains).
 	Domain *epoch.Domain
 	// ParkInterval overrides the idle re-check interval for held retire
 	// items (tests); 0 uses the default.
@@ -110,11 +108,17 @@ type Engine[K cmp.Ordered, V any] struct {
 	steals   atomic.Uint64
 	drops    atomic.Uint64
 
-	// Slot reclamation (nil domain or cell-backed structure: reclaim is
-	// false and everything below is dormant). pins[h] is helper h's epoch
-	// pin; syncPin serves Flush and Close's synchronous drains under syncMu.
+	// passMu fences Flush against the helpers: each helper pass (queue
+	// drain, held re-check, limbo round) runs under the read lock and Flush
+	// takes the write lock, so a Flush never runs while a helper holds an
+	// epoch pin or has the limbo batch detached — either would leave its
+	// round unable to free anything.
+	passMu sync.RWMutex
+
+	// Slot reclamation (nil domain: everything below is dormant). pins[h]
+	// is helper h's epoch pin; syncPin serves Flush and Close's synchronous
+	// drains under syncMu.
 	domain  *epoch.Domain
-	reclaim bool
 	pins    []*epoch.Pin
 	syncMu  sync.Mutex
 	syncPin *epoch.Pin
@@ -194,7 +198,6 @@ func New[K cmp.Ordered, V any](cfg Config[K, V]) (*Engine[K, V], error) {
 		tracer:       cfg.Tracer,
 		parkInterval: park,
 		domain:       cfg.Domain,
-		reclaim:      cfg.Domain != nil && cfg.SG.PackedRefs(),
 		pins:         make([]*epoch.Pin, helpers),
 		wake:         make(chan struct{}, helpers),
 		stop:         make(chan struct{}),
@@ -285,8 +288,11 @@ func (e *Engine[K, V]) Stats() Stats {
 // LimboDepth gauges the number of retired nodes awaiting slot reclamation.
 func (e *Engine[K, V]) LimboDepth() int64 { return e.limboDepth.Load() }
 
-// Reclaiming reports whether epoch-based slot reclamation is active.
-func (e *Engine[K, V]) Reclaiming() bool { return e.reclaim }
+// Pending counts the work still in the engine: queued items, held retire
+// items, and limbo entries. Zero means a Flush has nothing left to do.
+func (e *Engine[K, V]) Pending() int64 {
+	return e.depth.Load() + int64(e.heldLen()) + e.limboDepth.Load()
+}
 
 // stripeOf keys a node's work to its owner stripe, so socket-local helpers
 // pick it up and the maintenance CAS stays NUMA-local.
@@ -404,7 +410,7 @@ func (e *Engine[K, V]) heldLen() int {
 // stamped at an epoch our pin holds back, so the result stays trustworthy
 // until Unpin.
 func (w *worker[K, V]) stale(it item[K, V]) bool {
-	if !w.e.reclaim {
+	if w.e.domain == nil {
 		return false
 	}
 	if it.n.ID() != it.id || it.n.MaintHas(node.MaintLimbo) {
@@ -428,11 +434,12 @@ func (e *Engine[K, V]) run(h int) {
 		pin:      e.pins[h],
 	}
 	for {
+		e.passMu.RLock()
 		worked := w.drainPass(false)
 		if w.drainPending() {
 			worked = true
 		}
-		if e.reclaim {
+		if e.domain != nil {
 			// Advancing between passes is what lets limbo entries age out:
 			// MinPinned can only pass an entry's stamp once the global epoch
 			// has moved beyond it.
@@ -441,6 +448,7 @@ func (e *Engine[K, V]) run(h int) {
 				worked = true
 			}
 		}
+		e.passMu.RUnlock()
 		if worked {
 			continue
 		}
@@ -529,6 +537,19 @@ func (w *worker[K, V]) execute(it item[K, V], ownerNode int, force bool) {
 	}
 }
 
+// releaseRetire drops the retire item of a node found valid (revived) or,
+// at shutdown, still in commission. A remover that invalidates the node
+// again before the dedup bit clears skips its own enqueue (the bit says an
+// item exists), so the release re-checks after clearing the bit and
+// re-enqueues a node that is unmarked and invalid once more — otherwise that
+// removal would never be retired. Called under the worker's pin.
+func (e *Engine[K, V]) releaseRetire(n *node.Node[K, V]) {
+	n.ClearMaint(node.MaintRetireQueued)
+	if marked, valid := n.RawMarkValid(); !marked && !valid {
+		e.EnqueueRetire(n)
+	}
+}
+
 // executeRetire resolves a retire item now: revived nodes release their
 // dedup bit, in-commission nodes (only reachable here under force) release
 // it too — the inline protocol will retire them — and expired nodes are
@@ -547,7 +568,7 @@ func (w *worker[K, V]) executeRetire(it item[K, V]) (held bool) {
 	marked, valid := it.n.RawMarkValid()
 	if !marked {
 		if valid || e.sg.Now() < it.readyAt {
-			it.n.ClearMaint(node.MaintRetireQueued)
+			e.releaseRetire(it.n)
 			return false
 		}
 		if !e.sg.CanRetireNode(it.n) {
@@ -557,7 +578,7 @@ func (w *worker[K, V]) executeRetire(it item[K, V]) (held bool) {
 			// Lost the race: revived, or concurrently retired. Re-read to
 			// tell the two apart.
 			if _, nowValid := it.n.RawMarkValid(); nowValid {
-				it.n.ClearMaint(node.MaintRetireQueued)
+				e.releaseRetire(it.n)
 				return false
 			}
 		}
@@ -584,7 +605,7 @@ func (e *Engine[K, V]) EnterLimbo(n *node.Node[K, V]) {
 // sequence before any epoch clock starts ticking toward a free. A hand-off
 // while links remain is safe, just rounds slower.
 func (e *Engine[K, V]) enterLimbo(n *node.Node[K, V]) {
-	if !e.reclaim {
+	if e.domain == nil {
 		return
 	}
 	if marked, _ := n.RawMarkValid(); !marked {
@@ -630,7 +651,7 @@ func (e *Engine[K, V]) enterLimbo(n *node.Node[K, V]) {
 // next pass at the earliest.
 func (w *worker[K, V]) processLimbo() bool {
 	e := w.e
-	if !e.reclaim {
+	if e.domain == nil {
 		return false
 	}
 	e.limboMu.Lock()
@@ -670,10 +691,9 @@ func (w *worker[K, V]) processLimbo() bool {
 			kept = append(kept, le)
 			continue
 		}
-		if e.sg.FreeNode(le.n) {
-			e.reclaimed.Add(1)
-			e.tracer.RecordMaint(obs.MaintReclaim)
-		}
+		e.sg.FreeNode(le.n)
+		e.reclaimed.Add(1)
+		e.tracer.RecordMaint(obs.MaintReclaim)
 		e.limboDepth.Add(-1)
 		worked = true
 	}
@@ -708,7 +728,7 @@ func (w *worker[K, V]) drainPending() bool {
 		switch {
 		case valid:
 			// Revived in place — the commission period did its job.
-			it.n.ClearMaint(node.MaintRetireQueued)
+			e.releaseRetire(it.n)
 			worked = true
 		case marked || now >= it.readyAt:
 			// Expired, or already retired by someone who cannot unlink it
@@ -736,6 +756,8 @@ func (w *worker[K, V]) drainPending() bool {
 // complete, and in-commission retires release their bits for the inline
 // protocol.
 func (w *worker[K, V]) finalDrain() {
+	w.e.passMu.RLock()
+	defer w.e.passMu.RUnlock()
 	w.drainPass(true)
 	for _, it := range w.e.takeHeld() {
 		w.pin.Pin()
@@ -763,10 +785,13 @@ func (w *worker[K, V]) finalDrain() {
 // LimboDepth drains). Returns the number of items executed. Safe concurrently
 // with helpers and operations (the per-node claim/dedup bits arbitrate) —
 // concurrent Flush/Close calls serialize on an internal mutex — but recorded
-// under no thread recorder.
+// under no thread recorder. Flush waits for running helper passes to finish
+// and keeps helpers out until it returns.
 func (e *Engine[K, V]) Flush() int {
 	e.syncMu.Lock()
 	defer e.syncMu.Unlock()
+	e.passMu.Lock()
+	defer e.passMu.Unlock()
 	w := &worker[K, V]{e: e, numaNode: -1, res: e.sg.NewSearchResult(), pin: e.syncPin}
 	executed := 0
 	var requeue []item[K, V]
@@ -835,7 +860,7 @@ func (e *Engine[K, V]) Flush() int {
 		}
 		e.depth.Add(1)
 	}
-	if e.reclaim {
+	if e.domain != nil {
 		e.domain.Advance()
 		w.processLimbo()
 	}
@@ -883,7 +908,7 @@ func (e *Engine[K, V]) Close() {
 		w.order[i] = i
 	}
 	w.finalDrain()
-	if e.reclaim {
+	if e.domain != nil {
 		// One last limbo round now that the helpers' pins are released.
 		// Entries still held back by a live handle pin are abandoned: the
 		// structure is being torn down and the arena goes with it.

@@ -1,6 +1,6 @@
 // Arena-backed node allocation: per-socket chunked slabs addressed by 32-bit
-// indices, the memory layout behind the packed level-reference representation
-// (see internal/atomicmark.PackedRef).
+// indices, the memory layout behind the packed level references (see
+// internal/atomicmark.PackedRef). Every node of every structure lives here.
 //
 // Layout of an arena index (32 bits, 0 reserved as nil):
 //
@@ -12,7 +12,15 @@
 // the paper tells for its C++ allocator. A shard grows in chunks of
 // arenaChunkSlots slots; each slot inlines the node and a fixed-size array of
 // MaxArenaLevels packed level words, so a node and its level references share
-// one contiguous block (no per-node `next` slice, no per-mutation cell).
+// one contiguous block (no per-node slice, no per-mutation allocation).
+//
+// An arena is built for a width — the structure's MaxLevel+1. When the width
+// exceeds MaxArenaLevels (the skip-list baseline at height log2(keyspace), or
+// a layered map on more than 256 threads), every chunk also carries an
+// overflow slab of width-MaxArenaLevels words per slot, carved by grow
+// together with the chunk. A node resolves its levels at or above
+// MaxArenaLevels from (arena, slot index), so tall nodes need no extra node
+// field and no allocation of their own, and short structures pay nothing.
 //
 // Slots are allocated from a per-shard free list when one is populated, and
 // from a per-shard atomic bump cursor otherwise. Retired nodes return to
@@ -38,11 +46,10 @@ import (
 )
 
 const (
-	// MaxArenaLevels is the per-slot level-reference capacity: arena-backed
-	// structures support MaxLevel <= MaxArenaLevels-1. The paper's height is
-	// ceil(log2 T)-1, so 8 levels cover machines up to 256 hardware threads;
-	// taller ablation structures (skip-list baselines built with explicit
-	// heights) keep the cell-based representation.
+	// MaxArenaLevels is the number of level words inlined in every slot.
+	// The paper's height is ceil(log2 T)-1, so 8 levels cover machines up to
+	// 256 hardware threads; taller structures take the remaining levels from
+	// their chunks' overflow slabs.
 	MaxArenaLevels = 8
 
 	arenaSlotBits  = 9 // 512 slots per chunk
@@ -65,6 +72,13 @@ type arenaSlot[K cmp.Ordered, V any] struct {
 	w [MaxArenaLevels]atomicmark.PackedRef
 }
 
+// arenaChunk is one slab of slots plus, for arenas wider than
+// MaxArenaLevels, the slots' overflow words (Arena.over per slot, slot-major).
+type arenaChunk[K cmp.Ordered, V any] struct {
+	slots []arenaSlot[K, V]
+	over  []atomicmark.PackedRef
+}
+
 // arenaShard is one socket's slab. The bump cursor and the published chunk
 // table are padded away from neighbouring shards so concurrent allocation on
 // different sockets never false-shares.
@@ -77,7 +91,7 @@ type arenaShard[K cmp.Ordered, V any] struct {
 	next atomic.Uint64
 	// chunks is the published chunk table. Readers resolve indices through
 	// an atomic load; growth replaces the whole table under mu.
-	chunks atomic.Pointer[[][]arenaSlot[K, V]]
+	chunks atomic.Pointer[[]arenaChunk[K, V]]
 	mu     sync.Mutex
 
 	// free is the shard's reclaimed-slot stack, fed by Free and drained by
@@ -96,18 +110,25 @@ type arenaShard[K cmp.Ordered, V any] struct {
 // indices are meaningful only within the arena that issued them.
 type Arena[K cmp.Ordered, V any] struct {
 	shards []arenaShard[K, V]
+	// width is the number of level words a data node may use; over is the
+	// per-slot overflow word count, width-MaxArenaLevels or 0.
+	width, over int
 }
 
 // NewArena builds an arena with one shard per socket (clamped to
-// [1, MaxArenaShards]).
-func NewArena[K cmp.Ordered, V any](shards int) *Arena[K, V] {
+// [1, MaxArenaShards]) whose data nodes span up to width levels (at least
+// 1): a structure of height MaxLevel passes MaxLevel+1.
+func NewArena[K cmp.Ordered, V any](shards, width int) *Arena[K, V] {
 	if shards < 1 {
 		shards = 1
 	}
 	if shards > MaxArenaShards {
 		shards = MaxArenaShards
 	}
-	a := &Arena[K, V]{shards: make([]arenaShard[K, V], shards)}
+	if width < 1 {
+		width = 1
+	}
+	a := &Arena[K, V]{shards: make([]arenaShard[K, V], shards), width: width, over: max(width-MaxArenaLevels, 0)}
 	// Burn shard 0's slot 0 so no node ever receives index 0, which packed
 	// references reserve as nil.
 	a.shards[0].next.Store(1)
@@ -136,10 +157,10 @@ func (a *Arena[K, V]) alloc(shard int) *Node[K, V] {
 	chunk := pos >> arenaSlotBits
 	chunks := s.chunks.Load()
 	for chunks == nil || uint64(len(*chunks)) <= chunk {
-		s.grow(chunk)
+		s.grow(chunk, a.over)
 		chunks = s.chunks.Load()
 	}
-	sl := &(*chunks)[chunk][pos&(arenaChunkSlots-1)]
+	sl := &(*chunks)[chunk].slots[pos&(arenaChunkSlots-1)]
 	sl.n.ar = a
 	sl.n.self = uint32(shard)<<arenaPosBits | uint32(pos)
 	sl.n.pw = &sl.w
@@ -166,11 +187,11 @@ func (a *Arena[K, V]) allocFree(s *arenaShard[K, V]) *Node[K, V] {
 // the slot's reuse generation and resetting all per-life node state. The
 // caller owns the safety argument: the node must be physically unreachable
 // and every reader pinned before its retire epoch must have unpinned (the
-// epoch-based reclamation pipeline establishes both). Sentinels and heap
-// nodes are never freed.
+// epoch-based reclamation pipeline establishes both). Sentinels are never
+// freed.
 func (a *Arena[K, V]) Free(n *Node[K, V]) {
-	if n == nil || n.self == 0 || n.kind != Data {
-		panic("node: Free of a sentinel, heap node, or nil")
+	if n == nil || n.kind != Data {
+		panic("node: Free of a sentinel or nil")
 	}
 	// Zero the life ID before anything else: stale-pointer holders (local
 	// structures, jump indexes) validate with LiveAs, which loads the marked
@@ -184,8 +205,8 @@ func (a *Arena[K, V]) Free(n *Node[K, V]) {
 	n.maint.Store(0)
 	n.born.Store(0)
 	n.dead.Store(0)
-	for i := range n.pw {
-		n.pw[i].Init(0, false, false)
+	for i := range a.width {
+		n.word(i).Init(0, false, false)
 	}
 	s := &a.shards[n.self>>arenaPosBits]
 	s.freed.Add(1)
@@ -195,12 +216,12 @@ func (a *Arena[K, V]) Free(n *Node[K, V]) {
 }
 
 // grow extends the chunk table far enough to cover chunk, publishing the new
-// table atomically. Readers holding the old table stay correct: chunk slices
-// themselves never move.
-func (s *arenaShard[K, V]) grow(chunk uint64) {
+// table atomically, each new chunk with over overflow words per slot. Readers
+// holding the old table stay correct: chunk slices themselves never move.
+func (s *arenaShard[K, V]) grow(chunk uint64, over int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var chunks [][]arenaSlot[K, V]
+	var chunks []arenaChunk[K, V]
 	if cur := s.chunks.Load(); cur != nil {
 		if uint64(len(*cur)) > chunk {
 			return // Another allocator grew past us while we queued on mu.
@@ -208,7 +229,11 @@ func (s *arenaShard[K, V]) grow(chunk uint64) {
 		chunks = append(chunks, *cur...)
 	}
 	for uint64(len(chunks)) <= chunk {
-		chunks = append(chunks, make([]arenaSlot[K, V], arenaChunkSlots))
+		c := arenaChunk[K, V]{slots: make([]arenaSlot[K, V], arenaChunkSlots)}
+		if over > 0 {
+			c.over = make([]atomicmark.PackedRef, arenaChunkSlots*over)
+		}
+		chunks = append(chunks, c)
 	}
 	s.chunks.Store(&chunks)
 }
@@ -223,16 +248,24 @@ func (a *Arena[K, V]) At(idx uint32) *Node[K, V] {
 	}
 	pos := idx & arenaPosMask
 	chunks := *a.shards[idx>>arenaPosBits].chunks.Load()
-	return &chunks[pos>>arenaSlotBits][pos&(arenaChunkSlots-1)].n
+	return &chunks[pos>>arenaSlotBits].slots[pos&(arenaChunkSlots-1)].n
+}
+
+// overflow returns the packed word of level (>= MaxArenaLevels) of the node
+// in slot idx, from the slot's share of its chunk's overflow slab.
+func (a *Arena[K, V]) overflow(idx uint32, level int) *atomicmark.PackedRef {
+	pos := idx & arenaPosMask
+	c := &(*a.shards[idx>>arenaPosBits].chunks.Load())[pos>>arenaSlotBits]
+	return &c.over[int(pos&(arenaChunkSlots-1))*a.over+level-MaxArenaLevels]
 }
 
 // NewData allocates an arena-backed data node on the owner's shard,
 // participating in levels 0..topLevel with all references nil, unmarked and
 // valid (the lazy protocol's required initial state). topLevel must be below
-// MaxArenaLevels.
+// the arena's width.
 func (a *Arena[K, V]) NewData(key K, value V, topLevel int, vector uint32, owner Owner, id uint64, allocTS int64) *Node[K, V] {
-	if topLevel >= MaxArenaLevels {
-		panic(fmt.Sprintf("node: arena node top level %d exceeds MaxArenaLevels-1", topLevel))
+	if topLevel >= a.width {
+		panic(fmt.Sprintf("node: top level %d exceeds the arena width %d", topLevel, a.width))
 	}
 	n := a.alloc(int(owner.Node))
 	n.key = key
@@ -240,7 +273,7 @@ func (a *Arena[K, V]) NewData(key K, value V, topLevel int, vector uint32, owner
 	if n.kind != Data {
 		// Written on the slot's first carve only: freed slots are always
 		// data slots (Free rejects sentinels), and stale-pointer validators
-		// (LiveAs) read kind through refMarked before the ID gate, so a
+		// (LiveAs) read kind through word before the ID gate, so a
 		// reused slot must not see this field rewritten mid-validation.
 		n.kind = Data
 	}
@@ -250,7 +283,7 @@ func (a *Arena[K, V]) NewData(key K, value V, topLevel int, vector uint32, owner
 	n.ownerNode = owner.Node
 	n.allocTS = allocTS
 	for i := 0; i <= topLevel; i++ {
-		n.pw[i].Init(0, false, true)
+		n.word(i).Init(0, false, true)
 	}
 	// Publish the new life ID only after the words above are initialized:
 	// LiveAs loads marked-then-ID, so an ID match implies the words read
@@ -259,9 +292,9 @@ func (a *Arena[K, V]) NewData(key K, value V, topLevel int, vector uint32, owner
 	return n
 }
 
-// NewHead allocates the arena-backed sentinel fronting the (level, label)
-// list, pointing at tail. Like its heap sibling it carries a single level
-// reference — sentinels are sized once (see node.NewHead).
+// NewHead allocates the sentinel fronting the (level, label) list, pointing
+// at tail. It carries a single level reference that stands for its own level
+// (see "Sentinel sizing" in the package comment).
 func (a *Arena[K, V]) NewHead(level int, label uint32, tail *Node[K, V], id uint64) *Node[K, V] {
 	n := a.alloc(int(HeadOwner.Node))
 	n.kind = Head
@@ -274,7 +307,10 @@ func (a *Arena[K, V]) NewHead(level int, label uint32, tail *Node[K, V], id uint
 	return n
 }
 
-// NewTail allocates the arena-backed shared terminating sentinel.
+// NewTail allocates the shared terminating sentinel. It carries a single
+// level reference shared by all levels, never followed by traversals (see
+// "Sentinel sizing" in the package comment); maxLevel only sets its
+// TopLevel.
 func (a *Arena[K, V]) NewTail(maxLevel int, id uint64) *Node[K, V] {
 	n := a.alloc(int(HeadOwner.Node))
 	n.kind = Tail

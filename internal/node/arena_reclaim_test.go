@@ -13,7 +13,7 @@ import (
 // observed at link time — must never CAS against the new occupant, even
 // though the arena index (and therefore the node pointer) is identical.
 func TestArenaRecycleABA(t *testing.T) {
-	a := NewArena[int64, int64](1)
+	a := NewArena[int64, int64](1, 1)
 	owner := Owner{Thread: 0, Node: 0}
 	pred := a.NewData(1, 1, 0, 0, owner, 1, 0)
 
@@ -76,7 +76,7 @@ func TestArenaRecycleABA(t *testing.T) {
 // stale CAS must never land (run under -race: it also exercises the
 // free-list and generation-bump paths for data races).
 func TestArenaRecycleABAConcurrent(t *testing.T) {
-	a := NewArena[int64, int64](1)
+	a := NewArena[int64, int64](1, 1)
 	owner := Owner{Thread: 0, Node: 0}
 	pred := a.NewData(1, 1, 0, 0, owner, 1, 0)
 

@@ -6,7 +6,7 @@ import (
 )
 
 func TestArenaIndexZeroIsNil(t *testing.T) {
-	a := NewArena[int, int](2)
+	a := NewArena[int, int](2, 4)
 	if a.At(0) != nil {
 		t.Fatal("index 0 did not resolve to nil")
 	}
@@ -22,7 +22,7 @@ func TestArenaIndexZeroIsNil(t *testing.T) {
 }
 
 func TestArenaRoundTripAcrossChunks(t *testing.T) {
-	a := NewArena[int, int](1)
+	a := NewArena[int, int](1, 4)
 	// Allocate past a chunk boundary so At must walk the grown chunk table.
 	nodes := make([]*Node[int, int], 3*arenaChunkSlots/2)
 	for i := range nodes {
@@ -39,7 +39,7 @@ func TestArenaRoundTripAcrossChunks(t *testing.T) {
 }
 
 func TestArenaShardRouting(t *testing.T) {
-	a := NewArena[int, int](2)
+	a := NewArena[int, int](2, 4)
 	n0 := a.NewData(1, 1, 0, 0, Owner{Thread: 0, Node: 0}, 1, 0)
 	n1 := a.NewData(2, 2, 0, 0, Owner{Thread: 4, Node: 1}, 2, 0)
 	if got := n0.ArenaIndex() >> arenaPosBits; got != 0 {
@@ -56,7 +56,7 @@ func TestArenaShardRouting(t *testing.T) {
 }
 
 func TestArenaConcurrentAlloc(t *testing.T) {
-	a := NewArena[int, int](2)
+	a := NewArena[int, int](2, 4)
 	const goroutines, each = 8, 2000
 	var wg sync.WaitGroup
 	out := make([][]*Node[int, int], goroutines)
@@ -95,7 +95,7 @@ func TestArenaConcurrentAlloc(t *testing.T) {
 }
 
 func TestArenaDataNodeInitialState(t *testing.T) {
-	a := NewArena[int, string](1)
+	a := NewArena[int, string](1, 4)
 	n := a.NewData(7, "seven", 3, 0b101, Owner{Thread: 1, Node: 0}, 42, 1000)
 	if n.Key() != 7 || n.Value() != "seven" || !n.IsData() || n.TopLevel() != 3 {
 		t.Fatal("payload wrong")
@@ -109,7 +109,7 @@ func TestArenaDataNodeInitialState(t *testing.T) {
 }
 
 func TestArenaSentinels(t *testing.T) {
-	a := NewArena[int, int](1)
+	a := NewArena[int, int](1, 4)
 	tail := a.NewTail(3, 1)
 	head := a.NewHead(3, 0b1, tail, 2)
 	if head.RawNext(3) != tail {
@@ -123,7 +123,7 @@ func TestArenaSentinels(t *testing.T) {
 }
 
 func TestArenaLinkOpsThroughNodeAPI(t *testing.T) {
-	a := NewArena[int, int](1)
+	a := NewArena[int, int](1, 4)
 	tail := a.NewTail(1, 1)
 	head := a.NewHead(1, 0, tail, 2)
 	n := a.NewData(5, 5, 1, 0, Owner{}, 3, 0)
@@ -154,23 +154,95 @@ func TestArenaLinkOpsThroughNodeAPI(t *testing.T) {
 }
 
 func TestArenaRejectsTallNodes(t *testing.T) {
-	a := NewArena[int, int](1)
+	a := NewArena[int, int](1, 4)
 	defer func() {
 		if recover() == nil {
-			t.Fatal("NewData above MaxArenaLevels-1 did not panic")
+			t.Fatal("NewData at the arena width did not panic")
 		}
 	}()
-	a.NewData(1, 1, MaxArenaLevels, 0, Owner{}, 1, 0)
+	a.NewData(1, 1, 4, 0, Owner{}, 1, 0)
 }
 
-func TestHeapNodeInPackedStructurePanics(t *testing.T) {
-	a := NewArena[int, int](1)
-	arenaNode := a.NewData(1, 1, 0, 0, Owner{}, 1, 0)
-	heapNode := NewData[int, int](2, 2, 0, 0, Owner{}, 2, 0)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("linking a heap node into an arena node did not panic")
+// TestArenaTallNodes round-trips nodes of every top level up to 17 (the
+// skip-list baseline's height at a 2^17-key space) through an arena of width
+// 18, so levels 8..17 live in the chunks' overflow slabs: every accessor must
+// reach the right word, neighbouring slots' overflow words must not alias,
+// and a freed slot's overflow words must come back reset on reuse.
+func TestArenaTallNodes(t *testing.T) {
+	const width = 18
+	a := NewArena[int, int](2, width)
+	tail := a.NewTail(width-1, 1)
+	nodes := make([]*Node[int, int], 0, 2*width)
+	for i := 0; i < 2*width; i++ {
+		top := i % width
+		nodes = append(nodes, a.NewData(i, i, top, 0, Owner{Node: int32(i % 2)}, uint64(i+2), 0))
+	}
+	for _, n := range nodes {
+		for l := 0; l <= n.TopLevel(); l++ {
+			if s := n.RawLoad(l); s.Next != nil || s.Marked || !s.Valid {
+				t.Fatalf("node %d level %d initial state %+v", n.Key(), l, s)
+			}
 		}
-	}()
-	arenaNode.RawStore(0, heapNode, false, true)
+	}
+	// Link every node's level l to the node l slots later (wrapping), so each
+	// word holds a distinct successor, then read them all back.
+	succ := func(i, l int) *Node[int, int] { return nodes[(i+l+1)%len(nodes)] }
+	for i, n := range nodes {
+		for l := 0; l <= n.TopLevel(); l++ {
+			if !n.RawCASNext(l, nil, succ(i, l)) {
+				t.Fatalf("node %d level %d: link CAS failed", i, l)
+			}
+		}
+	}
+	for i, n := range nodes {
+		for l := 0; l <= n.TopLevel(); l++ {
+			if got := n.RawNext(l); got != succ(i, l) {
+				t.Fatalf("node %d level %d: next = %v want node %d", i, l, got.Key(), succ(i, l).Key())
+			}
+			if !n.CASMark(l, false, true, nil) || !n.RawMarked(l) {
+				t.Fatalf("node %d level %d: mark did not take", i, l)
+			}
+			if n.CASNext(l, succ(i, l), tail, nil) {
+				t.Fatalf("node %d level %d: CASNext moved a marked word", i, l)
+			}
+			exp := n.RawLoad(l)
+			want := exp
+			want.Next = tail
+			if !n.CASSnapshot(l, exp, want, nil) || n.RawNext(l) != tail {
+				t.Fatalf("node %d level %d: CASSnapshot did not take", i, l)
+			}
+			if !n.CASMarkValid(l, true, true, true, false, nil) {
+				t.Fatalf("node %d level %d: CASMarkValid failed", i, l)
+			}
+			if m, v := n.MarkValid(l, nil); !m || v {
+				t.Fatalf("node %d level %d: (marked, valid) = (%v, %v)", i, l, m, v)
+			}
+		}
+	}
+	// Free the tallest node and reuse its slot for a node of the same
+	// height: the overflow words start nil, unmarked and valid again.
+	tall := nodes[width-1]
+	a.Free(tall)
+	for l := 0; l < width; l++ {
+		if s := tall.RawLoad(l); s.Next != nil || s.Marked || s.Valid {
+			t.Fatalf("freed slot level %d not reset: %+v", l, s)
+		}
+	}
+	again := a.NewData(99, 99, width-1, 0, Owner{Node: 1}, 100, 0)
+	if again != tall {
+		t.Fatal("allocation did not reuse the freed slot")
+	}
+	for l := 0; l < width; l++ {
+		if s := again.RawLoad(l); s.Next != nil || s.Marked || !s.Valid {
+			t.Fatalf("reused slot level %d state %+v", l, s)
+		}
+	}
+	// Its slot neighbours on shard 1 kept their words.
+	for _, n := range []*Node[int, int]{nodes[width-3], nodes[width+1]} {
+		for l := 0; l <= n.TopLevel(); l++ {
+			if n.RawNext(l) != tail {
+				t.Fatalf("node %d level %d disturbed by a neighbour's reuse", n.Key(), l)
+			}
+		}
+	}
 }

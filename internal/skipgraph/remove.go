@@ -12,7 +12,10 @@ import (
 //     (failed removal, case R-i); an unmarked valid node is logically deleted
 //     by atomically clearing its valid bit (successful removal, case R-ii).
 //     Physical unlinking happens later, after the commission period, via
-//     checkRetire/retire during searches.
+//     checkRetire/retire during searches — or, with a background engine
+//     attached, through the retire item the remover hands it here, so a node
+//     removed through a local-structure or index jump that no later search
+//     crosses is still retired and reclaimed.
 //   - non-lazy protocol: an unmarked node is deleted by marking its upper
 //     level references and then CASing the level-0 mark, which is the
 //     linearization point; physical unlinking happens in search-time cleanup.
@@ -35,6 +38,9 @@ func (sg *SG[K, V]) RemoveHelper(n *node.Node[K, V], tr *stats.ThreadRecorder) (
 			return true, false // Non-existent (R-i).
 		}
 		if n.CASMarkValid(0, false, true, false, false, tr) {
+			if h := sg.hooks; h != nil && h.EnqueueRetire != nil {
+				h.EnqueueRetire(n, false)
+			}
 			return true, true // Flipped valid (R-ii).
 		}
 	}

@@ -233,8 +233,9 @@ func TestReclaimPlateau(t *testing.T) {
 			m.Maintenance().Flush()
 		}
 	}
-	// Drain the pipeline completely.
-	for i := 0; i < 200 && m.Maintenance().LimboDepth() > 0; i++ {
+	// Drain the pipeline completely: queued and held retire items as well
+	// as limbo entries.
+	for i := 0; i < 200 && m.Maintenance().Pending() > 0; i++ {
 		m.Maintenance().Flush()
 	}
 	if d := m.Maintenance().LimboDepth(); d != 0 {

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"layeredsg/internal/core"
+	"layeredsg/internal/node"
 )
 
 // TestTorture subjects every algorithm to a heavier mixed workload than the
@@ -19,10 +20,6 @@ func TestTorture(t *testing.T) {
 		t.Skip("torture is slow")
 	}
 	threads := clampThreads(8)
-	const (
-		ownedKeys = 300
-		sharedOps = 5000
-	)
 	for _, name := range Algorithms() {
 		t.Run(name, func(t *testing.T) {
 			machine := testMachine(t, threads)
@@ -35,144 +32,110 @@ func TestTorture(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer a.Close()
-			var wg sync.WaitGroup
-			for th := 0; th < threads; th++ {
-				wg.Add(1)
-				go func(th int) {
-					defer wg.Done()
-					h := a.Handle(th)
-					rng := rand.New(rand.NewSource(int64(th) * 31))
-					base := int64(1<<20) + int64(th)*10000
-					// Interleave deterministic owned-range work with shared
-					// chaos.
-					for k := int64(0); k < ownedKeys; k++ {
-						if !h.Insert(base+k, k) {
-							t.Errorf("thread %d: owned insert %d failed", th, base+k)
-							return
-						}
-						for j := 0; j < sharedOps/ownedKeys; j++ {
-							key := rng.Int63n(512)
-							switch rng.Intn(3) {
-							case 0:
-								h.Insert(key, key)
-							case 1:
-								h.Remove(key)
-							default:
-								h.Contains(key)
-							}
-						}
-						if k%2 == 1 {
-							if !h.Remove(base + k) {
-								t.Errorf("thread %d: owned remove %d failed", th, base+k)
-								return
-							}
-						}
-						runtime.Gosched()
-					}
-				}(th)
-			}
-			wg.Wait()
-			if t.Failed() {
-				return
-			}
-			// Owned ranges: exact.
-			h := a.Handle(0)
-			for th := 0; th < threads; th++ {
-				base := int64(1<<20) + int64(th)*10000
-				for k := int64(0); k < ownedKeys; k++ {
-					want := k%2 == 0
-					if got := h.Contains(base + k); got != want {
-						t.Fatalf("Contains(%d) = %v want %v", base+k, got, want)
-					}
-				}
-			}
+			runTorture(t, threads, 300, 5000, 31, a.Handle)
 		})
 	}
 }
 
-// TestTorturePackedRefs is the representation-torture run: the same
-// owned-range + shared-chaos workload as TestTorture, but pinned explicitly
-// to each node representation (packed arena words and heap cells) on the
-// layered variants, so `go test -race` exercises the packed CAS protocol
-// under real concurrency even if the RefAuto default ever changes.
+// TestTorturePackedRefs runs the TestTorture workload on the layered
+// variants in both placements of the packed level words: "packed", where
+// the map's height stays below node.MaxArenaLevels and every word sits
+// inline in its arena slot, and "tall", a 512-thread machine whose height
+// reaches past it so the upper words come from the arena's per-chunk
+// overflow slab. Only the first few handles run, so `go test -race`
+// exercises the overflow words under real concurrency without starting
+// hundreds of goroutines.
 func TestTorturePackedRefs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("torture is slow")
 	}
 	threads := clampThreads(8)
-	const (
-		ownedKeys = 200
-		sharedOps = 4000
-	)
+	shapes := []struct {
+		name    string
+		logical int
+	}{{"packed", threads}, {"tall", 512}}
 	for _, kind := range []Kind{LayeredSG, LazyLayeredSG, LayeredSSG} {
-		for _, refs := range []RefMode{RefPacked, RefCells} {
-			t.Run(kind.String()+"/"+refs.String(), func(t *testing.T) {
-				machine := testMachine(t, threads)
+		for _, shape := range shapes {
+			t.Run(kind.String()+"/"+shape.name, func(t *testing.T) {
 				m, err := New[int64, int64](Config{
-					Machine:          machine,
+					Machine:          testMachine(t, shape.logical),
 					Kind:             kind,
 					CommissionPeriod: 30 * time.Microsecond,
-					Refs:             refs,
 					Seed:             99,
 				})
 				if err != nil {
 					t.Fatal(err)
 				}
-				if m.PackedRefs() != (refs == RefPacked) {
-					t.Fatalf("PackedRefs() = %v under %v", m.PackedRefs(), refs)
+				if tall := m.MaxLevel() >= node.MaxArenaLevels; tall != (shape.name == "tall") {
+					t.Fatalf("MaxLevel() = %d on %d threads: overflow words used = %v", m.MaxLevel(), shape.logical, tall)
 				}
-				var wg sync.WaitGroup
-				for th := 0; th < threads; th++ {
-					wg.Add(1)
-					go func(th int) {
-						defer wg.Done()
-						h := m.Handle(th)
-						rng := rand.New(rand.NewSource(int64(th) * 17))
-						base := int64(1<<20) + int64(th)*10000
-						for k := int64(0); k < ownedKeys; k++ {
-							if !h.Insert(base+k, k) {
-								t.Errorf("thread %d: owned insert %d failed", th, base+k)
-								return
-							}
-							for j := 0; j < sharedOps/ownedKeys; j++ {
-								key := rng.Int63n(512)
-								switch rng.Intn(3) {
-								case 0:
-									h.Insert(key, key)
-								case 1:
-									h.Remove(key)
-								default:
-									h.Contains(key)
-								}
-							}
-							if k%2 == 1 {
-								if !h.Remove(base + k) {
-									t.Errorf("thread %d: owned remove %d failed", th, base+k)
-									return
-								}
-							}
-							runtime.Gosched()
-						}
-					}(th)
-				}
-				wg.Wait()
+				runTorture(t, threads, 200, 4000, 17, func(th int) OpHandle { return m.Handle(th) })
 				if t.Failed() {
 					return
-				}
-				h := m.Handle(0)
-				for th := 0; th < threads; th++ {
-					base := int64(1<<20) + int64(th)*10000
-					for k := int64(0); k < ownedKeys; k++ {
-						want := k%2 == 0
-						if got := h.Contains(base + k); got != want {
-							t.Fatalf("Contains(%d) = %v want %v", base+k, got, want)
-						}
-					}
 				}
 				if err := m.SharedStructure().Validate(); err != nil {
 					t.Fatal(err)
 				}
 			})
+		}
+	}
+}
+
+// runTorture drives threads goroutines, one per handle: each interleaves
+// inserts into its own key range (every odd key removed again) with
+// sharedOps random operations on a contended shared range, then the owned
+// ranges are checked exactly through handle 0.
+func runTorture(t *testing.T, threads int, ownedKeys, sharedOps, seedMul int64, handle func(int) OpHandle) {
+	t.Helper()
+	var wg sync.WaitGroup
+	for th := 0; th < threads; th++ {
+		wg.Add(1)
+		go func(th int) {
+			defer wg.Done()
+			h := handle(th)
+			rng := rand.New(rand.NewSource(int64(th) * seedMul))
+			base := int64(1<<20) + int64(th)*10000
+			// Interleave deterministic owned-range work with shared
+			// chaos.
+			for k := int64(0); k < ownedKeys; k++ {
+				if !h.Insert(base+k, k) {
+					t.Errorf("thread %d: owned insert %d failed", th, base+k)
+					return
+				}
+				for j := int64(0); j < sharedOps/ownedKeys; j++ {
+					key := rng.Int63n(512)
+					switch rng.Intn(3) {
+					case 0:
+						h.Insert(key, key)
+					case 1:
+						h.Remove(key)
+					default:
+						h.Contains(key)
+					}
+				}
+				if k%2 == 1 {
+					if !h.Remove(base + k) {
+						t.Errorf("thread %d: owned remove %d failed", th, base+k)
+						return
+					}
+				}
+				runtime.Gosched()
+			}
+		}(th)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	// Owned ranges: exact.
+	h := handle(0)
+	for th := 0; th < threads; th++ {
+		base := int64(1<<20) + int64(th)*10000
+		for k := int64(0); k < ownedKeys; k++ {
+			want := k%2 == 0
+			if got := h.Contains(base + k); got != want {
+				t.Fatalf("Contains(%d) = %v want %v", base+k, got, want)
+			}
 		}
 	}
 }
